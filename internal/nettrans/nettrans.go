@@ -10,10 +10,13 @@
 // the protocol state machines were written against on the sim plane, so
 // they need no locks here either.
 //
-// Wire format: each frame is a 4-byte big-endian length followed by an
-// independently gob-encoded frame value (a fresh encoder per frame, so
-// frames are self-describing and a connection can be dropped between any
-// two of them). Concrete payload types are registered with encoding/gob by
+// Wire format: each frame is a 4-byte big-endian length followed by one gob
+// value. Every connection direction is one long-lived gob stream, so a
+// payload type is described and compiled once per connection, not once per
+// frame; each frame is exactly one Encode call, so the descriptors it needs
+// travel in the same frame. The connection is the unit of codec failure:
+// any encode or decode error closes it, and the next send re-dials with
+// fresh streams. Concrete payload types are registered with encoding/gob by
 // the protocol packages' gobwire.go files.
 //
 // Loss semantics mirror simnet: one-way messages to unknown, down, or
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,7 +145,8 @@ type Transport struct {
 	Delivered uint64
 	Dropped   uint64
 
-	wg sync.WaitGroup
+	wg       sync.WaitGroup
+	loopDone chan struct{} // closed when run returns
 }
 
 // New opens the listener and starts the event loop. The caller should
@@ -165,6 +170,7 @@ func New(cfg Config) (*Transport, error) {
 		nodes:       make(map[transport.NodeID]*Node),
 		conns:       make(map[string]*outConn),
 		inConns:     make(map[net.Conn]struct{}),
+		loopDone:    make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.wg.Add(2)
@@ -221,6 +227,7 @@ func (t *Transport) Do(fn func()) bool {
 // run is the event loop: one callback at a time, in arrival order.
 func (t *Transport) run() {
 	defer t.wg.Done()
+	defer close(t.loopDone)
 	for {
 		t.mu.Lock()
 		for len(t.queue) == 0 && !t.closed {
@@ -250,9 +257,11 @@ func (t *Transport) Close() {
 	t.cond.Broadcast()
 	t.mu.Unlock()
 	t.ln.Close()
-	// Connection teardown: outConns are created on the loop, but the loop
-	// has exited; the map is safe to walk now that closed is set (post and
-	// Do are no-ops, so no new conns can appear).
+	// Connection teardown: outConns and timers are loop-owned, so wait for
+	// the loop's last callback to finish; after that they are safe to walk
+	// (post and Do are no-ops now that closed is set, so nothing new can
+	// appear).
+	<-t.loopDone
 	for _, c := range t.conns {
 		c.close()
 	}
@@ -303,9 +312,10 @@ func (t *Transport) node(id transport.NodeID) *Node {
 // ---- outbound connections ----
 
 // outConn is a reusable outbound connection to one address. The writer
-// goroutine dials lazily, then drains the queue; any error fails the
-// requests still queued (and the ones already written are failed by the
-// peer's reap or by the caller's timeout).
+// goroutine dials lazily, then drains the queue; a reader goroutine takes the
+// responses and reaps that come back. Any error on either side fails the
+// whole connection: queued frames are undeliverable, zero-timeout calls
+// written on it fail, and the next send re-dials with fresh gob streams.
 type outConn struct {
 	tr   *Transport
 	addr string
@@ -342,12 +352,13 @@ func (c *outConn) enqueue(f frame) {
 	c.mu.Unlock()
 }
 
-// write runs in its own goroutine: dial once, then encode frames in order.
+// write runs in its own goroutine: dial once, then encode each wake-up's
+// whole queue onto the connection's gob stream and send it in one Write.
 func (c *outConn) write() {
 	defer c.tr.wg.Done()
 	conn, err := net.DialTimeout("tcp", c.addr, c.tr.dialTimeout)
 	if err != nil {
-		c.fail()
+		c.fail(nil)
 		return
 	}
 	c.mu.Lock()
@@ -358,11 +369,13 @@ func (c *outConn) write() {
 	}
 	c.netConn = conn
 	c.mu.Unlock()
-	// Responses and reaps come back on this same connection; read them like
-	// any inbound stream. The reader also closes the conn when the peer
-	// goes away, which trips the writer out of its queue wait.
+	// Responses and reaps come back on this same connection. The reader
+	// also closes the conn when the peer goes away, which trips the writer
+	// out of its queue wait.
 	c.tr.wg.Add(1)
-	go c.tr.read(conn)
+	go c.tr.read(conn, c)
+	fw := newFrameWriter()
+	var batch []frame
 	for {
 		c.mu.Lock()
 		for len(c.queue) == 0 && !c.closed {
@@ -373,33 +386,55 @@ func (c *outConn) write() {
 			conn.Close()
 			return
 		}
-		f := c.queue[0]
-		c.queue = c.queue[1:]
+		// Swap the queue with the drained batch's backing array.
+		batch, c.queue = c.queue, batch[:0]
 		c.mu.Unlock()
-		if err := writeFrame(conn, f); err != nil {
+		for i := range batch {
+			if err := fw.append(&batch[i]); err != nil {
+				// The stream is undefined past a failed Encode: send the
+				// frames encoded before it, then give up the connection.
+				_ = fw.flush(conn)
+				conn.Close()
+				c.fail(batch[i:])
+				return
+			}
+		}
+		if err := fw.flush(conn); err != nil {
 			conn.Close()
-			c.tr.post(func() { c.tr.frameUndeliverable(f) })
-			c.fail()
+			c.fail(batch)
 			return
 		}
+		clear(batch) // drop payload references until the next reuse
 	}
 }
 
-// fail marks the connection dead, reaps queued frames, and removes it from
-// the transport's reuse map so the next send re-dials.
-func (c *outConn) fail() {
+// fail marks the connection dead and, on the loop, removes it from the
+// transport's reuse map so the next send re-dials, reaps lost frames plus
+// everything still queued, and fails the zero-timeout calls whose requests
+// were queued on or written to it. Safe to call more than once.
+func (c *outConn) fail(lost []frame) {
 	c.mu.Lock()
 	c.closed = true
-	stranded := c.queue
+	stranded := append(lost, c.queue...)
 	c.queue = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.tr.post(func() {
-		if c.tr.conns[c.addr] == c {
-			delete(c.tr.conns, c.addr)
+		t := c.tr
+		if t.conns[c.addr] == c {
+			delete(t.conns, c.addr)
 		}
 		for _, f := range stranded {
-			c.tr.frameUndeliverable(f)
+			t.frameUndeliverable(f)
+		}
+		t.nmu.RLock()
+		defer t.nmu.RUnlock()
+		for _, nd := range t.nodes {
+			for id, pc := range nd.pending {
+				if pc.conn == c {
+					nd.failPending(id)
+				}
+			}
 		}
 	})
 }
@@ -440,23 +475,26 @@ func (t *Transport) frameUndeliverable(f frame) {
 
 // sendFrame routes a frame: local fast path for co-hosted destinations
 // (still asynchronous — enqueued back onto the loop, never run inline),
-// otherwise the reusable outbound connection. Loop-only.
-func (t *Transport) sendFrame(f frame) {
+// otherwise the reusable outbound connection. It returns the connection the
+// frame was queued on, or nil if it went local or was dropped. Loop-only.
+func (t *Transport) sendFrame(f frame) *outConn {
 	t.Sent++
 	if src := t.node(f.From); src != nil && (!src.up || src.unplugged) {
 		t.frameUndeliverable(f)
-		return
+		return nil
 	}
 	if local := t.node(f.To); local != nil {
 		t.post(func() { t.dispatch(f, nil) })
-		return
+		return nil
 	}
 	addr, ok := t.book.Lookup(f.To)
 	if !ok {
 		t.frameUndeliverable(f)
-		return
+		return nil
 	}
-	t.connTo(addr).enqueue(f)
+	c := t.connTo(addr)
+	c.enqueue(f)
+	return c
 }
 
 // ---- inbound ----
@@ -469,29 +507,37 @@ func (t *Transport) accept() {
 			return // listener closed
 		}
 		t.wg.Add(1)
-		go t.read(conn)
+		go t.read(conn, nil)
 	}
 }
 
-// read decodes frames off one inbound connection and posts them to the
-// loop. The connection doubles as the response path for requests that
-// arrived on it.
-func (t *Transport) read(conn net.Conn) {
+// read decodes frames off one connection and posts them to the loop. An
+// inbound connection (out == nil) doubles as the response path for the
+// requests that arrived on it; an outbound connection carries back the
+// responses and reaps to our requests, and the reader's exit fails it. Any
+// decode error ends the connection.
+func (t *Transport) read(conn net.Conn, out *outConn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	t.inMu.Lock()
-	t.inConns[conn] = struct{}{}
-	t.inMu.Unlock()
-	defer func() {
+	var w *inWriter
+	if out == nil {
 		t.inMu.Lock()
-		delete(t.inConns, conn)
+		t.inConns[conn] = struct{}{}
 		t.inMu.Unlock()
-	}()
-	w := &inWriter{conn: conn}
+		defer func() {
+			t.inMu.Lock()
+			delete(t.inConns, conn)
+			t.inMu.Unlock()
+		}()
+		w = &inWriter{conn: conn, fw: newFrameWriter()}
+	} else {
+		defer out.fail(nil)
+	}
+	fr := newFrameReader(conn)
 	for {
-		f, err := readFrame(conn)
+		f, err := fr.next()
 		if err != nil {
-			return // peer closed, or tore down mid-frame
+			return // peer closed, tore down mid-frame, or sent garbage
 		}
 		t.post(func() { t.dispatch(f, w) })
 	}
@@ -499,16 +545,32 @@ func (t *Transport) read(conn net.Conn) {
 
 // inWriter serializes response writes back onto an inbound connection.
 // reply closures may fire long after the handler returned, from the loop;
-// the mutex orders them against each other.
+// the mutex orders them against each other and owns the connection's
+// response stream.
 type inWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
+	fw   *frameWriter
+	dead bool
 }
 
-func (w *inWriter) writeFrame(f frame) error {
+// write encodes and sends one response or reap. Any error closes the
+// connection: the caller's reader sees it and fails the calls written on
+// it, and its next send re-dials.
+func (w *inWriter) write(f frame) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return writeFrame(w.conn, f)
+	if w.dead {
+		return
+	}
+	err := w.fw.append(&f)
+	if err == nil {
+		err = w.fw.flush(w.conn)
+	}
+	if err != nil {
+		w.dead = true
+		w.conn.Close()
+	}
 }
 
 // dispatch delivers an arrived frame to the destination node. Loop-only.
@@ -592,48 +654,118 @@ func (t *Transport) answer(f frame, via *inWriter) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		// A write error means the caller's connection died; its pending
-		// call times out (or, for zero-timeout calls, fails when the
-		// caller's own outbound writer notices the broken connection).
-		_ = via.writeFrame(f)
+		via.write(f)
 	}()
 }
 
 // ---- framing ----
 
-const maxFrame = 64 << 20 // 64 MiB; journals ship in bounded batches
+const (
+	maxFrame = 64 << 20 // 64 MiB; journals ship in bounded batches
+	// readChunk bounds how far a frame body's buffer grows ahead of the
+	// bytes that have actually arrived, so a hostile length prefix cannot
+	// make the reader allocate maxFrame up front.
+	readChunk = 64 << 10
+	// keepBuf is the largest frame buffer a connection holds on to between
+	// frames; a rare larger frame gets a buffer of its own.
+	keepBuf = 1 << 20
+)
 
-// writeFrame encodes f with a fresh gob encoder and writes it with a
-// 4-byte big-endian length prefix.
-func writeFrame(w io.Writer, f frame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+// frameWriter is one connection direction's gob stream. Each frame is a
+// 4-byte big-endian length followed by exactly one Encode call, so a type
+// is described once per connection, and the descriptors a frame needs
+// travel in that same frame. After an error the stream is undefined and
+// the connection must be dropped.
+type frameWriter struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+func newFrameWriter() *frameWriter {
+	w := &frameWriter{}
+	w.enc = gob.NewEncoder(&w.buf)
+	return w
+}
+
+// append encodes f behind its length prefix. On error the buffer keeps
+// only the frames appended before f.
+func (w *frameWriter) append(f *frame) error {
+	mark := w.buf.Len()
+	w.buf.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := w.enc.Encode(f); err != nil {
+		w.buf.Truncate(mark)
 		return fmt.Errorf("nettrans: encode frame to %s: %w", f.To, err)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	_, err := w.Write(b)
+	n := w.buf.Len() - mark - 4
+	if n > maxFrame {
+		w.buf.Truncate(mark)
+		return fmt.Errorf("nettrans: frame to %s is %d bytes, over the %d limit", f.To, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(w.buf.Bytes()[mark:], uint32(n))
+	return nil
+}
+
+// flush sends every appended frame in one Write and empties the buffer.
+func (w *frameWriter) flush(conn io.Writer) error {
+	_, err := conn.Write(w.buf.Bytes())
+	w.buf.Reset()
+	if w.buf.Cap() > keepBuf {
+		w.buf = bytes.Buffer{}
+	}
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader is one connection's decoding side: it reads each
+// length-prefixed body into a reused buffer and decodes it with the
+// connection's long-lived gob.Decoder.
+type frameReader struct {
+	src  io.Reader
+	hdr  [4]byte
+	body []byte
+	rd   bytes.Reader // the decoder's input: the current frame's body
+	dec  *gob.Decoder
+}
+
+func newFrameReader(src io.Reader) *frameReader {
+	r := &frameReader{src: src}
+	// bytes.Reader is an io.ByteReader, so the decoder reads it directly
+	// and never buffers past the current frame.
+	r.dec = gob.NewDecoder(&r.rd)
+	return r
+}
+
+// next reads and decodes one frame. A frame must hold exactly one gob
+// value (with any type descriptors it needs); trailing bytes are an error.
+func (r *frameReader) next() (frame, error) {
+	if _, err := io.ReadFull(r.src, r.hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(r.hdr[:]))
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("nettrans: oversized frame (%d bytes)", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frame{}, err
+	if cap(r.body) > keepBuf {
+		r.body = nil
 	}
+	body := r.body[:0]
+	for len(body) < n {
+		chunk := min(n-len(body), readChunk)
+		body = slices.Grow(body, chunk)
+		m, err := io.ReadFull(r.src, body[len(body):len(body)+chunk])
+		body = body[:len(body)+m]
+		if err != nil {
+			r.body = body
+			return frame{}, err
+		}
+	}
+	r.body = body
+	r.rd.Reset(body)
 	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
+	if err := r.dec.Decode(&f); err != nil {
 		return frame{}, fmt.Errorf("nettrans: decode frame: %w", err)
+	}
+	if r.rd.Len() != 0 {
+		return frame{}, fmt.Errorf("nettrans: %d trailing bytes in frame", r.rd.Len())
 	}
 	return f, nil
 }

@@ -11,7 +11,8 @@ import (
 // netPending is one outstanding Call.
 type netPending struct {
 	cb    func(resp any, err error)
-	timer *timer // nil for zero-timeout calls
+	timer *timer   // nil for zero-timeout calls
+	conn  *outConn // the connection the request was queued on, if any
 }
 
 // Node is one endpoint hosted on a Transport. All methods are loop-only
@@ -94,7 +95,7 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 		})
 	}
 	nd.pending[id] = pc
-	nd.tr.sendFrame(frame{Kind: frameRequest, ID: id, From: nd.id, To: to, Payload: req})
+	pc.conn = nd.tr.sendFrame(frame{Kind: frameRequest, ID: id, From: nd.id, To: to, Payload: req})
 }
 
 // failPending fails a provably-lost call that has no timeout timer armed

@@ -18,6 +18,9 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # race. The transporttest lint also asserts no protocol package (mams,
 # coord, ssp, fsclient) imports internal/simnet.
 go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
+# Bounded fuzz run of the per-connection frame reader: hostile byte streams
+# must come back as errors, never panics or allocations past maxFrame.
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=10s ./internal/nettrans
 go test -race -timeout 40m ./internal/mams/...
 go test -race ./internal/obs/...
 # The health detector rides inside every parallel detect cell (one World
